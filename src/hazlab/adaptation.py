@@ -20,19 +20,6 @@ from .errors import ContractError
 from .tensor import Tensor
 from .unet import Model, forward
 
-K_SWEEP_DEFAULT = (0, 1, 5, 10, 50)
-
-
-@dataclasses.dataclass
-class AdaptationConfig:
-    k: int = 0
-    image_selection_seed: int = 0
-
-    def validate(self) -> None:
-        if self.k < 0:
-            raise ContractError("AdaptationConfig: k must be non-negative")
-
-
 @dataclasses.dataclass(frozen=True)
 class ThresholdPolicy:
     """Nearest-rank quantile with strictly-greater comparison; ties at the

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,13 +20,14 @@ from .adaptation import (ThresholdPolicy, adapt_bn, nearest_rank_percentile, sel
                          threshold_batch)
 from .datasets import GeneratorConfig, TaskKind, aligned_images, generate, read_dataset, \
     write_dataset
-from .errors import ContractError, FormatError, NumericDomainError
-from .evaluation import (ALPHA, BaselineKind, baseline_masks, confusion, evaluate_masks,
+from .errors import ContractError, FormatError, GenerationError, NumericDomainError
+from .evaluation import (BaselineKind, baseline_masks, confusion, evaluate_masks,
                          metrics, paired_significance, records_to_csv, significance_to_csv,
                          summarize, wilcoxon_one_tailed)
-from .harness import ExperimentConfig, ResultsTable, render_report, run_experiment
+from .harness import (ExperimentConfig, ResultsTable, parse_significance_csv, render_report,
+                      run_experiment)
 from .tensor import Tensor
-from .training import AdamWConfig, EarlyStopConfig, LossConfig, pretrain
+from .training import AdamWConfig, EarlyStopConfig, pretrain
 from .unet import (ALL_VARIANTS, BackboneVariant, UNetConfig, build, forward, load_checkpoint,
                    predict_probs, save_checkpoint)
 
@@ -146,15 +148,15 @@ def _cmd_eval(args) -> int:
     for kind in BaselineKind:
         base = baseline_masks(kind, imgs, seed=args.seed, policy=policy,
                               unet_config=model.config)
-        results[kind.value] = paired_significance(recs, evaluate_masks(base, data))
+        results[(kind.value,)] = paired_significance(recs, evaluate_masks(base, data))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "records.csv").write_text(records_to_csv(recs))
-    (out / "significance.csv").write_text(significance_to_csv(results))
+    (out / "significance.csv").write_text(significance_to_csv(results, ("opponent",)))
     s = summarize(recs)
     print(f"mean balanced accuracy {s['mean_balanced_accuracy']:.4f} "
           f"(std {s['std_balanced_accuracy']:.4f}, {s['n_defined']} defined)")
-    for name, r in sorted(results.items()):
+    for (name,), r in sorted(results.items()):
         print(f"vs {name}: p={r.p_value:.3e} significant={r.significant}")
     return 0
 
@@ -175,8 +177,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_report(args) -> int:
     table = ResultsTable.from_csv(Path(args.results).read_text())
-    sig = Path(args.significance).read_text() if args.significance else None
-    render_report(table, args.out, significance_csv=sig)
+    flags = (parse_significance_csv(Path(args.significance).read_text())
+             if args.significance else None)
+    render_report(table, args.out, flags)
     print(f"report rendered to {args.out}")
     return 0
 
@@ -258,7 +261,6 @@ def _cmd_selftest(args) -> int:
     for trial in range(20):
         vals = rng.random(rng.integers(1, 40))
         q = float(rng.uniform(0.05, 0.95))
-        import math
         rank = min(max(math.ceil(round(q * vals.size, 9)), 1), vals.size)
         if nearest_rank_percentile(vals, q) != float(np.sort(vals)[rank - 1]):
             failures.append(f"percentile trial {trial}")
@@ -293,8 +295,7 @@ def _cmd_selftest(args) -> int:
 
     for f in failures:
         print(f"FAIL {f}")
-    print(f"selftest: {4 - bool(failures)}/4 suites passed" if not failures
-          else f"selftest: {len(failures)} failure(s)")
+    print(f"selftest: {len(failures)} failure(s)" if failures else "selftest: 4/4 suites passed")
     return 3 if failures else 0
 
 
@@ -322,6 +323,9 @@ def main(argv=None) -> int:
         return 1
     except NumericDomainError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
+        return 1
+    except GenerationError as e:
+        print(f"generation failure: {e}", file=sys.stderr)
         return 1
     except (FormatError, OSError, json.JSONDecodeError) as e:
         print(f"I/O error: {e}", file=sys.stderr)

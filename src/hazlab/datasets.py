@@ -82,22 +82,9 @@ class GeneratorConfig:
             raise ContractError("GeneratorConfig: n_samples must be >= 1")
         if self.size < 8:
             raise ContractError("GeneratorConfig: size must be >= 8")
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["kind"] = self.kind.value
-        for key in ("building_count", "building_size", "fracture_lines", "fracture_width"):
-            d[key] = list(d[key])
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneratorConfig":
-        d = dict(d)
-        d["kind"] = TaskKind(d["kind"])
-        for key in ("building_count", "building_size", "fracture_lines", "fracture_width"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
+        if self.kind == TaskKind.BUILDINGS and self.size < self.building_size[1]:
+            raise ContractError("GeneratorConfig: size must be >= the largest building size "
+                                f"{self.building_size[1]}")
 
 
 def _value_noise(rng: np.random.Generator, size: int, cells: int) -> np.ndarray:
@@ -272,7 +259,7 @@ def write_dataset(samples: list[SegmentationSample], path) -> None:
 def read_dataset(path) -> list[SegmentationSample]:
     with open(path, "rb") as f:
         blob = f.read()
-    if len(blob) < 16 or blob[:4] != DATASET_MAGIC:
+    if len(blob) < 18 or blob[:4] != DATASET_MAGIC:
         raise FormatError(f"{path}: bad magic at byte 0")
     version, n, c, h, w = struct.unpack_from("<IIHHH", blob, 4)
     if version != DATASET_VERSION:
@@ -295,20 +282,3 @@ def read_dataset(path) -> list[SegmentationSample]:
             raise FormatError(f"{path}: non-binary mask byte before offset {off}")
         samples.append(SegmentationSample(sid, img, mask, band_count=c))
     return samples
-
-
-def describe(samples: list[SegmentationSample]) -> str:
-    """Dataset statistics as CSV: per-band moments and positive-fraction spread."""
-    if not samples:
-        raise ContractError("describe: empty sample list")
-    images = np.stack([s.image for s in samples])
-    fracs = np.array([s.mask.mean() for s in samples])
-    lines = ["statistic,value"]
-    lines.append(f"count,{len(samples)}")
-    for b in range(images.shape[1]):
-        lines.append(f"band{b}_mean,{images[:, b].mean()!r}")
-        lines.append(f"band{b}_var,{images[:, b].var()!r}")
-    lines.append(f"positive_fraction_min,{fracs.min()!r}")
-    lines.append(f"positive_fraction_mean,{fracs.mean()!r}")
-    lines.append(f"positive_fraction_max,{fracs.max()!r}")
-    return "\n".join(lines) + "\n"

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: ContractError -> 1, FormatError and
-other I/O failures -> 2, verification failures -> 3.
+Exit-code mapping used by the CLI: ContractError, NumericDomainError and
+GenerationError -> 1, FormatError and other I/O failures -> 2, verification
+failures -> 3.
 """
 
 

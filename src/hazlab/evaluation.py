@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .adaptation import ThresholdPolicy, threshold_mask
+from ._formats import write_rows
+from .adaptation import ThresholdPolicy, threshold_batch
 from .errors import ContractError
 from .tensor import Tensor
 from .unet import UNetConfig, build, predict_probs
@@ -53,6 +54,9 @@ class SignificanceResult:
     significant: bool
 
 
+SIGNIFICANCE_FIELDS = tuple(f.name for f in dataclasses.fields(SignificanceResult))
+
+
 def confusion(pred: np.ndarray, gt: np.ndarray) -> ConfusionCounts:
     """Exact pixel counts; hazard (1) is the positive class."""
     pred = np.asarray(pred)
@@ -86,7 +90,7 @@ def metrics(counts: ConfusionCounts, sample_id: int = 0) -> MetricsRecord:
     return MetricsRecord(sample_id, ba, iou, f1, counts)
 
 
-def evaluate_masks(pred_masks, samples, ids=None) -> list[MetricsRecord]:
+def evaluate_masks(pred_masks, samples) -> list[MetricsRecord]:
     """Per-image metrics for predicted masks against a labeled dataset."""
     if len(pred_masks) != len(samples):
         raise ContractError("evaluate_masks: prediction/dataset length mismatch")
@@ -127,15 +131,16 @@ def baseline_masks(kind: BaselineKind, images: list[np.ndarray], seed: int,
         raise ContractError("baseline_masks: no images")
     if kind == BaselineKind.UNIFORM_NOISE:
         rng = np.random.default_rng(np.random.PCG64(seed))
-        shape = images[0].shape[-2:]
-        return np.stack([threshold_mask(rng.random(shape), policy) for _ in images])
-    if kind == BaselineKind.RANDOM_INIT_UNET:
+        # one [N,H,W] draw yields the same stream as N draws of [H,W]
+        scores = rng.random((len(images),) + images[0].shape[-2:])
+    elif kind == BaselineKind.RANDOM_INIT_UNET:
         if unet_config is None:
             raise ContractError("baseline_masks: RandomInitUNet needs a UNetConfig")
         model = build(dataclasses.replace(unet_config, seed=seed))
-        probs = predict_probs(model, Tensor(np.stack(images)))
-        return np.stack([threshold_mask(probs.data[i], policy) for i in range(len(images))])
-    raise ContractError(f"unknown baseline kind {kind}")
+        scores = predict_probs(model, Tensor(np.stack(images)))
+    else:
+        raise ContractError(f"unknown baseline kind {kind}")
+    return threshold_batch(scores, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -204,33 +209,6 @@ def wilcoxon_one_tailed(differences) -> SignificanceResult:
     return SignificanceResult(w_plus, n, p, method, p < ALPHA)
 
 
-def rank_sum_one_tailed(a, b) -> SignificanceResult:
-    """Unpaired Mann-Whitney/rank-sum variant (H1: a > b), normal approximation.
-
-    Offered for sensitivity checks only; acceptance uses the paired test.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if len(a) == 0 or len(b) == 0:
-        raise ContractError("rank_sum_one_tailed: empty sample")
-    combined = np.concatenate([a, b])
-    ranks = _ranks_with_ties(combined)
-    r_a = float(ranks[:len(a)].sum())
-    n1, n2 = len(a), len(b)
-    u = r_a - n1 * (n1 + 1) / 2.0
-    mu = n1 * n2 / 2.0
-    nn = n1 + n2
-    _, tie_counts = np.unique(combined, return_counts=True)
-    tie_term = float(np.sum(tie_counts ** 3 - tie_counts)) / (nn * (nn - 1.0)) if nn > 1 else 0.0
-    var = n1 * n2 / 12.0 * (nn + 1.0 - tie_term)
-    if var <= 0:
-        return SignificanceResult(u, nn, 1.0, "normal_approx", False)
-    z = (u - mu - 0.5) / math.sqrt(var)
-    p = 0.5 * math.erfc(z / math.sqrt(2.0))
-    p = min(max(p, 0.0), 1.0)
-    return SignificanceResult(u, nn, p, "normal_approx", p < ALPHA)
-
-
 def paired_significance(model_records: list[MetricsRecord],
                         baseline_records: list[MetricsRecord]) -> SignificanceResult:
     """Signed-rank test on per-image balanced-accuracy differences.
@@ -251,16 +229,14 @@ def paired_significance(model_records: list[MetricsRecord],
 
 
 def records_to_csv(records: list[MetricsRecord]) -> str:
-    lines = ["sample_id,tp,fp,tn,fn,balanced_accuracy,iou,f1"]
-    for r in records:
-        ba = "" if r.balanced_accuracy is None else repr(r.balanced_accuracy)
-        c = r.counts
-        lines.append(f"{r.sample_id},{c.tp},{c.fp},{c.tn},{c.fn},{ba},{r.iou!r},{r.f1!r}")
-    return "\n".join(lines) + "\n"
+    """Per-image table; an undefined balanced accuracy is an empty field."""
+    return write_rows(("sample_id", "tp", "fp", "tn", "fn", "balanced_accuracy", "iou", "f1"),
+                      [(r.sample_id, r.counts.tp, r.counts.fp, r.counts.tn, r.counts.fn,
+                        r.balanced_accuracy, r.iou, r.f1) for r in records])
 
 
-def significance_to_csv(results: dict[str, SignificanceResult]) -> str:
-    lines = ["opponent,statistic,n_effective,p_value,method,significant"]
-    for name, r in sorted(results.items()):
-        lines.append(f"{name},{r.statistic!r},{r.n_effective},{r.p_value!r},{r.method},{r.significant}")
-    return "\n".join(lines) + "\n"
+def significance_to_csv(results: dict[tuple, SignificanceResult], key_header) -> str:
+    """One row per test, sorted by key: the key columns named by `key_header`,
+    then SIGNIFICANCE_FIELDS."""
+    return write_rows(tuple(key_header) + SIGNIFICANCE_FIELDS,
+                      [key + dataclasses.astuple(r) for key, r in sorted(results.items())])

@@ -19,12 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._formats import config_from_dict, config_to_dict, read_rows, write_rows
 from .adaptation import ThresholdPolicy, adapt_bn, select_unlabeled, threshold_batch
 from .datasets import (DOWNSTREAM_TASKS, GeneratorConfig, TaskKind, aligned_images, generate,
                        write_dataset)
-from .errors import ContractError
-from .evaluation import (BaselineKind, baseline_masks, evaluate_masks, paired_significance,
-                         records_to_csv, summarize, wilcoxon_one_tailed)
+from .errors import ContractError, FormatError
+from .evaluation import (SIGNIFICANCE_FIELDS, BaselineKind, baseline_masks, evaluate_masks,
+                         paired_significance, records_to_csv, significance_to_csv, summarize,
+                         wilcoxon_one_tailed)
 from .tensor import Tensor
 from .training import AdamWConfig, EarlyStopConfig, LossConfig, history_to_csv, pretrain
 from .unet import ALL_VARIANTS, BackboneVariant, UNetConfig, build, predict_probs, save_checkpoint
@@ -69,40 +71,12 @@ class ExperimentConfig:
             raise ContractError("ExperimentConfig: no variants selected")
 
     def to_dict(self) -> dict:
-        return {
-            "out_dir": self.out_dir,
-            "master_seed": self.master_seed,
-            "n_seeds": self.n_seeds,
-            "variants": [v.value for v in self.variants],
-            "pretask_samples": self.pretask_samples,
-            "image_size": self.image_size,
-            "eval_set_size": self.eval_set_size,
-            "unlabeled_pool_size": self.unlabeled_pool_size,
-            "val_fraction": self.val_fraction,
-            "depth": self.depth,
-            "base_channels": self.base_channels,
-            "in_channels": self.in_channels,
-            "loss": dataclasses.asdict(self.loss),
-            "optim": dataclasses.asdict(self.optim),
-            "stop": dataclasses.asdict(self.stop),
-            "batch_size": self.batch_size,
-            "k_sweep": list(self.k_sweep),
-            "quantile": self.quantile,
-            "save_datasets": self.save_datasets,
-        }
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        if "variants" in d:
-            d["variants"] = tuple(BackboneVariant(v) for v in d["variants"])
-        for key, sub in (("loss", LossConfig), ("optim", AdamWConfig), ("stop", EarlyStopConfig)):
-            if key in d and isinstance(d[key], dict):
-                d[key] = sub(**d[key])
-        for key in ("k_sweep",):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
+        """Raises ContractError on an unknown key or variant or a mistyped value."""
+        return config_from_dict(cls, d)
 
 
 @dataclasses.dataclass
@@ -116,6 +90,11 @@ class ResultRow:
     significant_vs_uniform_noise: bool
     p_vs_random_unet: float
     significant_vs_random_unet: bool
+
+
+RESULTS_HEADER = tuple(f.name for f in dataclasses.fields(ResultRow))
+# key columns of the pooled significance.csv
+POOLED_KEY = ("task", "variant", "k", "opponent")
 
 
 @dataclasses.dataclass
@@ -137,43 +116,34 @@ class ResultsTable:
         return out
 
     def to_csv(self) -> str:
-        lines = ["task,variant,k,seed,mean_balanced_accuracy,"
-                 "p_vs_uniform_noise,significant_vs_uniform_noise,"
-                 "p_vs_random_unet,significant_vs_random_unet"]
-        for r in self.rows:
-            lines.append(f"{r.task},{r.variant},{r.k},{r.seed},{r.mean_balanced_accuracy!r},"
-                         f"{r.p_vs_uniform_noise!r},{r.significant_vs_uniform_noise},"
-                         f"{r.p_vs_random_unet!r},{r.significant_vs_random_unet}")
-        return "\n".join(lines) + "\n"
+        return write_rows(RESULTS_HEADER, [dataclasses.astuple(r) for r in self.rows])
 
     @classmethod
     def from_csv(cls, text: str) -> "ResultsTable":
-        lines = [ln for ln in text.strip().split("\n") if ln]
-        rows = []
-        for ln in lines[1:]:
-            f = ln.split(",")
-            rows.append(ResultRow(f[0], f[1], int(f[2]), int(f[3]), float(f[4]),
-                                  float(f[5]), f[6] == "True", float(f[7]), f[8] == "True"))
-        return cls(rows)
+        """Raises FormatError on a wrong header, a short or long row, or a bad number."""
+        try:
+            return cls([ResultRow(r["task"], r["variant"], int(r["k"]), int(r["seed"]),
+                                  float(r["mean_balanced_accuracy"]),
+                                  float(r["p_vs_uniform_noise"]),
+                                  r["significant_vs_uniform_noise"] == "True",
+                                  float(r["p_vs_random_unet"]),
+                                  r["significant_vs_random_unet"] == "True")
+                        for r in read_rows(text, RESULTS_HEADER)])
+        except ValueError as e:
+            raise FormatError(f"results CSV: {e}") from e
 
     def aggregates_csv(self) -> str:
-        lines = ["task,variant,k,mean_balanced_accuracy,std_balanced_accuracy"]
-        for task, variant, k, mean, std in self.aggregates():
-            lines.append(f"{task},{variant},{k},{mean!r},{std!r}")
-        return "\n".join(lines) + "\n"
+        return write_rows(("task", "variant", "k", "mean_balanced_accuracy",
+                           "std_balanced_accuracy"), self.aggregates())
 
     def trend_csv(self) -> str:
         """Reports (not enforces) whether mean BA at max k >= its k=0 value."""
         agg = {(t, v, k): m for t, v, k, m, _ in self.aggregates()}
         ks = sorted({r.k for r in self.rows})
         k0, kmax = ks[0], ks[-1]
-        lines = ["task,variant,ba_k0,ba_kmax,improved_or_equal"]
-        for (t, v, k) in sorted(agg):
-            if k != k0:
-                continue
-            lines.append(f"{t},{v},{agg[(t, v, k0)]!r},{agg[(t, v, kmax)]!r},"
-                         f"{agg[(t, v, kmax)] >= agg[(t, v, k0)]}")
-        return "\n".join(lines) + "\n"
+        rows = [(t, v, agg[(t, v, k0)], agg[(t, v, kmax)], agg[(t, v, kmax)] >= agg[(t, v, k0)])
+                for (t, v, k) in sorted(agg) if k == k0]
+        return write_rows(("task", "variant", "ba_k0", "ba_kmax", "improved_or_equal"), rows)
 
 
 def _sub_seed(master: int, *tags) -> int:
@@ -274,17 +244,6 @@ def _run_task_cell(cfg, seed_index, out, task, models, policy, rows, pooled):
                 records_to_csv(recs))
 
 
-def pooled_significance_csv(pooled: dict[tuple, list[float]]) -> str:
-    """Signed-rank tests on per-image differences pooled across seeds; the
-    source of the report's *** markers."""
-    lines = ["task,variant,k,opponent,statistic,n_effective,p_value,method,significant"]
-    for (task, variant, k, opponent) in sorted(pooled):
-        r = wilcoxon_one_tailed(pooled[(task, variant, k, opponent)])
-        lines.append(f"{task},{variant},{k},{opponent},{r.statistic!r},{r.n_effective},"
-                     f"{r.p_value!r},{r.method},{r.significant}")
-    return "\n".join(lines) + "\n"
-
-
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ResultsTable:
     cfg.validate()
     out = Path(cfg.out_dir)
@@ -310,11 +269,12 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ResultsTable:
     (out / "results.csv").write_text(table.to_csv())
     (out / "aggregates.csv").write_text(table.aggregates_csv())
     (out / "trend.csv").write_text(table.trend_csv())
-    sig_csv = pooled_significance_csv(pooled)
-    (out / "significance.csv").write_text(sig_csv)
-    diag_lines = ["seed,task,diagnostic"] + [f"{s},{t},{msg.replace(',', ';')}"
-                                             for s, t, msg in sorted(diagnostics)]
-    (out / "diagnostics.csv").write_text("\n".join(diag_lines) + "\n")
+    # signed-rank tests on per-image differences pooled across seeds; the
+    # source of the report's *** markers
+    pooled_sig = {key: wilcoxon_one_tailed(diffs) for key, diffs in pooled.items()}
+    (out / "significance.csv").write_text(significance_to_csv(pooled_sig, POOLED_KEY))
+    (out / "diagnostics.csv").write_text(
+        write_rows(("seed", "task", "diagnostic"), sorted(diagnostics)))
     manifest = {
         "package_version": __version__,
         "config": cfg.to_dict(),
@@ -326,7 +286,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ResultsTable:
         "wall_seconds": round(time.perf_counter() - t0, 3),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    render_report(table, out, significance_csv=sig_csv)
+    render_report(table, out, {key: r.significant for key, r in pooled_sig.items()})
     return table
 
 
@@ -334,28 +294,31 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ResultsTable:
 # report rendering
 
 
-def _parse_significance_csv(text: str) -> dict[tuple, bool]:
-    flags = {}
-    for ln in text.strip().split("\n")[1:]:
-        f = ln.split(",")
-        flags[(f[0], f[1], int(f[2]), f[3])] = f[8] == "True"
-    return flags
+def parse_significance_csv(text: str) -> dict[tuple, bool]:
+    """The `significant` flag of each row of a pooled significance CSV, keyed
+    by (task, variant, k, opponent); raises FormatError on a malformed table."""
+    try:
+        return {(r["task"], r["variant"], int(r["k"]), r["opponent"]): r["significant"] == "True"
+                for r in read_rows(text, POOLED_KEY + SIGNIFICANCE_FIELDS)}
+    except ValueError as e:
+        raise FormatError(f"significance CSV: {e}") from e
 
 
-def summary_csv_for_task(table: ResultsTable, task: str,
-                         variant_order: list[str] | None = None) -> str:
+def _variant_order(names) -> list[str]:
+    """Known variants in ALL_VARIANTS order, then any others by name."""
+    known = [v.value for v in ALL_VARIANTS]
+    return sorted(set(names), key=lambda v: (known.index(v) if v in known else len(known), v))
+
+
+def summary_csv_for_task(table: ResultsTable, task: str) -> str:
     """Per-task summary sub-table: rows = k, columns = variants, 4-decimal means."""
     agg = {(t, v, k): m for t, v, k, m, _ in table.aggregates() if t == task}
     if not agg:
         raise ContractError(f"summary: no rows for task '{task}'")
-    variants = variant_order or sorted({v for (_, v, _) in agg},
-                                       key=lambda v: [x.value for x in ALL_VARIANTS].index(v)
-                                       if v in [x.value for x in ALL_VARIANTS] else 99)
+    variants = _variant_order(v for (_, v, _) in agg)
     ks = sorted({k for (_, _, k) in agg})
-    lines = ["k," + ",".join(variants)]
-    for k in ks:
-        lines.append(f"{k}," + ",".join(f"{agg[(task, v, k)]:.4f}" for v in variants))
-    return "\n".join(lines) + "\n"
+    return write_rows(["k", *variants],
+                      [[k, *(f"{agg[(task, v, k)]:.4f}" for v in variants)] for k in ks])
 
 
 _SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -367,9 +330,7 @@ def render_task_svg(table: ResultsTable, task: str,
     agg = [(v, k, m, s) for t, v, k, m, s in table.aggregates() if t == task]
     if not agg:
         raise ContractError(f"render: no rows for task '{task}'")
-    variants = sorted({v for v, _, _, _ in agg},
-                      key=lambda v: [x.value for x in ALL_VARIANTS].index(v)
-                      if v in [x.value for x in ALL_VARIANTS] else 99)
+    variants = _variant_order(v for v, _, _, _ in agg)
     ks = sorted({k for _, k, _, _ in agg})
     width, height = 560, 360
     ml, mr, mt, mb = 60, 160, 40, 50
@@ -429,10 +390,12 @@ def render_task_svg(table: ResultsTable, task: str,
     return "\n".join(parts) + "\n"
 
 
-def render_report(table: ResultsTable, out_dir, significance_csv: str | None = None) -> None:
+def render_report(table: ResultsTable, out_dir,
+                  sig_flags: dict[tuple, bool] | None = None) -> None:
+    """Per-task summary CSVs and SVG plots; `sig_flags` (as returned by
+    `parse_significance_csv`) places the *** markers."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sig_flags = _parse_significance_csv(significance_csv) if significance_csv else None
     for task in sorted({r.task for r in table.rows}):
         (out / f"summary_{task}.csv").write_text(summary_csv_for_task(table, task))
         (out / f"plot_{task}.svg").write_text(render_task_svg(table, task, sig_flags))

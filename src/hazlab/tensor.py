@@ -73,9 +73,6 @@ class Tensor:
     def backward(self) -> None:
         backward(self)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 

@@ -8,6 +8,7 @@ import time
 import numpy as np
 
 from . import tensor as T
+from ._formats import write_rows
 from .errors import ContractError, NumericDomainError
 from .tensor import Tensor
 from .unet import Model, forward
@@ -145,10 +146,8 @@ class EpochRecord:
 
 
 def history_to_csv(history: list[EpochRecord]) -> str:
-    lines = ["epoch,train_loss,val_loss,seconds"]
-    for r in history:
-        lines.append(f"{r.epoch},{r.train_loss!r},{r.val_loss!r},{r.seconds:.3f}")
-    return "\n".join(lines) + "\n"
+    return write_rows(("epoch", "train_loss", "val_loss", "seconds"),
+                      [(r.epoch, r.train_loss, r.val_loss, f"{r.seconds:.3f}") for r in history])
 
 
 def _stack_batch(samples) -> tuple[Tensor, Tensor]:

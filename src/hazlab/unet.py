@@ -17,8 +17,10 @@ import struct
 import numpy as np
 
 from . import tensor as T
+from ._formats import config_from_dict, config_to_dict
 from .errors import ContractError, FormatError
-from .layers import BatchNormState, batch_moments, batchnorm_eval, batchnorm_train, se_gate
+from .layers import (BatchNormState, batch_moments, batchnorm_eval, batchnorm_train,
+                     make_bn_state, se_gate)
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"HZMD"
@@ -60,17 +62,6 @@ class UNetConfig:
         if self.variant == BackboneVariant.GROUPED_SE and self.base_channels % self.groups != 0:
             raise ContractError("UNetConfig: groups must divide base_channels")
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["variant"] = self.variant.value
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "UNetConfig":
-        d = dict(d)
-        d["variant"] = BackboneVariant(d["variant"])
-        return cls(**d)
-
 
 class _Registry:
     """Collects parameters and BN states in deterministic construction order."""
@@ -98,15 +89,9 @@ class _Registry:
         return self._add(name, Tensor(np.zeros(cout), requires_grad=True))
 
     def bn(self, path: str, channels: int) -> int:
-        s = BatchNormState(
-            channels=channels,
-            gamma=self._add(path + ".gamma", Tensor(np.ones(channels), requires_grad=True)),
-            beta=self._add(path + ".beta", Tensor(np.zeros(channels), requires_grad=True)),
-            running_mean=np.zeros(channels),
-            running_var=np.ones(channels),
-            eps=self.config.bn_eps,
-            momentum=self.config.bn_momentum,
-        )
+        s = make_bn_state(channels, eps=self.config.bn_eps, momentum=self.config.bn_momentum)
+        self._add(path + ".gamma", s.gamma)
+        self._add(path + ".beta", s.beta)
         self.bn_states.append(s)
         self.bn_paths.append(path)
         return len(self.bn_states) - 1
@@ -337,7 +322,7 @@ def predict_probs(model: Model, x: Tensor) -> Tensor:
 def save_checkpoint(model: Model, path, meta: dict | None = None) -> None:
     """Write a model to the single-file HZMD format (little-endian)."""
     header = {
-        "config": model.config.to_dict(),
+        "config": config_to_dict(model.config),
         "params": [{"name": n, "shape": list(t.shape)} for n, t in model.params.items()],
         "bn": [{"path": p, "channels": s.channels, "eps": s.eps, "momentum": s.momentum}
                for p, s in zip(model.bn_paths, model.bn_states)],
@@ -371,8 +356,13 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         header = json.loads(blob[off:off + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: unreadable header at byte {off}: {e}") from e
+    if not isinstance(header, dict) or "config" not in header or "params" not in header:
+        raise FormatError(f"{path}: header at byte {off} lacks 'config' or 'params'")
+    try:
+        model = build(config_from_dict(UNetConfig, header["config"]))
+    except ContractError as e:
+        raise FormatError(f"{path}: bad model config at byte {off}: {e}") from e
     off += hlen
-    model = build(UNetConfig.from_dict(header["config"]))
     manifest = header["params"]
     if [m["name"] for m in manifest] != list(model.params.keys()):
         raise FormatError(f"{path}: parameter manifest does not match rebuilt model")
@@ -385,13 +375,17 @@ def load_checkpoint(path) -> tuple[Model, dict]:
             raise FormatError(f"{path}: truncated payload at byte {off}")
         t.data = np.frombuffer(blob[off:off + nbytes], dtype="<f8").reshape(t.shape).copy()
         off += nbytes
-    for i, s in enumerate(model.bn_states):
-        nbytes = s.channels * 8
-        for buf_name in ("running_mean", "running_var"):
-            if off + nbytes > len(blob):
-                raise FormatError(f"{path}: truncated BN payload at byte {off}")
-            setattr(s, buf_name, np.frombuffer(blob[off:off + nbytes], dtype="<f8").copy())
-            off += nbytes
+    bn_states = []
+    for s in model.bn_states:
+        nbytes = 2 * s.channels * 8
+        if off + nbytes > len(blob):
+            raise FormatError(f"{path}: truncated BN payload at byte {off}")
+        mean, var = np.frombuffer(blob[off:off + nbytes], dtype="<f8").reshape(2, s.channels)
+        try:  # with_stats re-validates, so a negative variance fails closed
+            bn_states.append(s.with_stats(mean, var))
+        except ContractError as e:
+            raise FormatError(f"{path}: invalid BN state at byte {off}: {e}") from e
+        off += nbytes
     if off != len(blob):
         raise FormatError(f"{path}: {len(blob) - off} trailing bytes at byte {off}")
-    return model, header.get("meta", {})
+    return model.with_bn(bn_states), header.get("meta", {})

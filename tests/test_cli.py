@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hazlab
 from hazlab.cli import main
 from hazlab.datasets import read_dataset
 
@@ -33,6 +38,39 @@ class TestExitCodes:
     def test_contract_violation_is_exit_one(self, tmp_path):
         assert run("gen", "--task", "flood", "--n", "0",
                    "--out", str(tmp_path / "x.hzds")) == 1
+
+
+RESULTS_HEADER = ("task,variant,k,seed,mean_balanced_accuracy,p_vs_uniform_noise,"
+                  "significant_vs_uniform_noise,p_vs_random_unet,significant_vs_random_unet")
+RESULTS_ROW = "flood,residual,0,0,0.6,0.001,True,0.002,True"
+
+# (name, text written to tmp_path / "in" or None, argv with {in}/{tmp} placeholders, exit code)
+MALFORMED_INPUTS = [
+    ("unknown_config_key", json.dumps({"bogus": 1}), ["run", "--config", "{in}"], 1),
+    ("unknown_nested_key", json.dumps({"stop": {"bogus": 1}}), ["run", "--config", "{in}"], 1),
+    ("unknown_variant", json.dumps({"variants": ["nope"]}), ["run", "--config", "{in}"], 1),
+    ("short_results_row", f"{RESULTS_HEADER}\nflood,residual,0\n",
+     ["report", "--results", "{in}", "--out", "{tmp}/rep"], 2),
+    ("wrong_results_header", f"a,b,c,d,e,f,g,h,i\n{RESULTS_ROW}\n",
+     ["report", "--results", "{in}", "--out", "{tmp}/rep"], 2),
+    ("buildings_smaller_than_a_building", None,
+     ["gen", "--task", "buildings", "--size", "8", "--out", "{tmp}/b.hzds"], 1),
+]
+
+
+@pytest.mark.parametrize("content,argv,code", [c[1:] for c in MALFORMED_INPUTS],
+                         ids=[c[0] for c in MALFORMED_INPUTS])
+def test_malformed_input_exit_code(tmp_path, content, argv, code):
+    """A malformed input ends with its exit code and one stderr line, never a traceback."""
+    if content is not None:
+        (tmp_path / "in").write_text(content)
+    argv = [a.format(**{"in": tmp_path / "in", "tmp": tmp_path}) for a in argv]
+    src = str(Path(hazlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "hazlab.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
 
 
 class TestGen:

@@ -3,7 +3,7 @@ import pytest
 
 from hazlab import datasets
 from hazlab.datasets import (DOWNSTREAM_TASKS, GeneratorConfig, SegmentationSample, TaskKind,
-                             TASK_BANDS, band_align, dataset_file_size, describe, generate,
+                             TASK_BANDS, band_align, dataset_file_size, generate,
                              read_dataset, write_dataset)
 from hazlab.errors import ContractError, FormatError
 
@@ -121,18 +121,20 @@ class TestHzds:
         with pytest.raises(FormatError):
             read_dataset(path)
 
+    @pytest.mark.parametrize("kind", [TaskKind.FLOOD, TaskKind.LANDSLIDE])
+    def test_every_prefix_fails_closed(self, tmp_path, kind):
+        """Each prefix of a valid file, empty up to one byte short, is a FormatError."""
+        path = tmp_path / "data.hzds"
+        write_dataset(generate(_cfg(kind, n=1, size=8, seed=9)), path)
+        blob = path.read_bytes()
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(FormatError):
+                read_dataset(path)
+
     def test_empty_write_rejected(self, tmp_path):
         with pytest.raises(ContractError):
             write_dataset([], tmp_path / "x.hzds")
-
-
-def test_describe_csv():
-    samples = generate(_cfg(TaskKind.FLOOD, n=4, seed=12))
-    out = describe(samples)
-    lines = out.strip().split("\n")
-    assert lines[0] == "statistic,value"
-    assert "count,4" in out
-    assert "band0_mean," in out
 
 
 def test_sample_invariants_enforced():

@@ -8,7 +8,7 @@ from hazlab import evaluation
 from hazlab.adaptation import ThresholdPolicy
 from hazlab.errors import ContractError
 from hazlab.evaluation import (BaselineKind, ConfusionCounts, baseline_masks, confusion, metrics,
-                               paired_significance, rank_sum_one_tailed, records_to_csv,
+                               paired_significance, records_to_csv,
                                summarize, wilcoxon_one_tailed)
 from hazlab.unet import BackboneVariant, UNetConfig
 
@@ -153,13 +153,6 @@ class TestWilcoxon:
         assert not wilcoxon_one_tailed([1.0]).significant  # p = 0.5
         r = SignificanceResult(0.0, 5, 0.01, "exact", 0.01 < 0.01)
         assert not r.significant
-
-    def test_rank_sum_variant_direction(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(loc=1.0, size=30)
-        b = rng.normal(loc=0.0, size=30)
-        assert rank_sum_one_tailed(a, b).p_value < 0.01
-        assert rank_sum_one_tailed(b, a).p_value > 0.5
 
 
 class TestBaselines:

@@ -5,8 +5,10 @@ import pytest
 
 from hazlab import harness
 from hazlab.errors import ContractError
-from hazlab.harness import (ExperimentConfig, ResultRow, ResultsTable, render_report,
-                            render_task_svg, run_experiment, summary_csv_for_task, _sub_seed)
+from hazlab.evaluation import significance_to_csv, wilcoxon_one_tailed
+from hazlab.harness import (POOLED_KEY, ExperimentConfig, ResultRow, ResultsTable,
+                            parse_significance_csv, render_report, render_task_svg,
+                            run_experiment, summary_csv_for_task, _sub_seed)
 from hazlab.training import EarlyStopConfig
 from hazlab.unet import ALL_VARIANTS, BackboneVariant
 
@@ -184,3 +186,14 @@ class TestTrend:
         body = "\n".join(lines[1:])
         assert "flood,dual_path,0.55,0.57,True" in body
         assert "flood,residual,0.6,0.58,False" in body
+
+
+def test_significance_csv_round_trip():
+    """The pooled significance writer and the report's reader agree on every flag."""
+    results = {("flood", "residual", 0, "uniform_noise"): wilcoxon_one_tailed(range(1, 9)),
+               ("flood", "residual", 0, "random_unet"): wilcoxon_one_tailed([1.0, -2.0]),
+               ("landslide", "dual_path", 50, "random_unet"): wilcoxon_one_tailed([])}
+    text = significance_to_csv(results, POOLED_KEY)
+    assert text.split("\n")[0] == ("task,variant,k,opponent,statistic,n_effective,p_value,"
+                                   "method,significant")
+    assert parse_significance_csv(text) == {key: r.significant for key, r in results.items()}

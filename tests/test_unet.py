@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -177,5 +180,27 @@ class TestCheckpoint:
         unet.save_checkpoint(model, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
+        with pytest.raises(FormatError):
+            unet.load_checkpoint(path)
+
+    def test_negative_running_var_fails_closed(self, tmp_path):
+        path = tmp_path / "model.hzmd"
+        unet.save_checkpoint(build(_cfg()), path)
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", -1.0))
+        with pytest.raises(FormatError):
+            unet.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [lambda h: h.pop("config"),
+                                      lambda h: h["config"].update(bogus=1)],
+                             ids=["missing_config", "unknown_config_key"])
+    def test_bad_config_header_fails_closed(self, tmp_path, edit):
+        path = tmp_path / "model.hzmd"
+        unet.save_checkpoint(build(_cfg()), path)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12:12 + hlen])
+        edit(header)
+        hbytes = json.dumps(header).encode()
+        path.write_bytes(blob[:8] + struct.pack("<I", len(hbytes)) + hbytes + blob[12 + hlen:])
         with pytest.raises(FormatError):
             unet.load_checkpoint(path)
